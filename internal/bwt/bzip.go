@@ -3,9 +3,9 @@ package bwt
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/bitio"
-	"repro/internal/checksum"
 	"repro/internal/huffman"
 )
 
@@ -61,7 +61,7 @@ func Compress(data []byte, level int) ([]byte, error) {
 
 func compressBlock(bw *bitio.MSBWriter, raw []byte) error {
 	bw.WriteBits(1, 1) // block marker
-	crc := checksum.CRC32(raw)
+	crc := crc32.ChecksumIEEE(raw)
 
 	rle := rle1Encode(raw)
 	last, ptr := Transform(rle)
@@ -197,7 +197,7 @@ func decompressBlock(br *bitio.MSBReader, blockLimit int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if checksum.CRC32(raw) != crc {
+	if crc32.ChecksumIEEE(raw) != crc {
 		return nil, fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
 	return raw, nil

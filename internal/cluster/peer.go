@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
-	"repro/internal/checksum"
 	"repro/internal/codec"
 	"repro/internal/proxy"
 	"repro/internal/selective"
@@ -85,7 +85,7 @@ func writePeerRequest(w io.Writer, req peerRequest) error {
 	buf = append(buf, u16[:]...)
 	buf = append(buf, fp...)
 	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], checksum.CRC32(buf[len(peerMagic):]))
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[len(peerMagic):]))
 	buf = append(buf, crc[:]...)
 	_, err := w.Write(buf)
 	return err
@@ -120,9 +120,9 @@ func readPeerRequest(r io.Reader) (peerRequest, error) {
 		return peerRequest{}, fmt.Errorf("%w: truncated key tail: %v", ErrPeerProtocol, err)
 	}
 	req.Key.FP = string(tail[:fpLen])
-	sum := checksum.CRC32(hdr[len(peerMagic):])
-	sum = checksum.UpdateCRC32(sum, mid)
-	sum = checksum.UpdateCRC32(sum, tail[:fpLen])
+	sum := crc32.ChecksumIEEE(hdr[len(peerMagic):])
+	sum = crc32.Update(sum, crc32.IEEETable, mid)
+	sum = crc32.Update(sum, crc32.IEEETable, tail[:fpLen])
 	if sum != binary.BigEndian.Uint32(tail[fpLen:]) {
 		return peerRequest{}, fmt.Errorf("%w: request CRC mismatch", ErrPeerProtocol)
 	}
@@ -132,7 +132,7 @@ func readPeerRequest(r io.Reader) (peerRequest, error) {
 func writePeerStatus(w io.Writer, status byte) error {
 	var buf [5]byte
 	buf[0] = status
-	binary.BigEndian.PutUint32(buf[1:], checksum.CRC32(buf[:1]))
+	binary.BigEndian.PutUint32(buf[1:], crc32.ChecksumIEEE(buf[:1]))
 	_, err := w.Write(buf[:])
 	return err
 }
@@ -142,7 +142,7 @@ func readPeerStatus(r io.Reader) (byte, error) {
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, fmt.Errorf("%w: truncated status: %v", ErrPeerProtocol, err)
 	}
-	if checksum.CRC32(buf[:1]) != binary.BigEndian.Uint32(buf[1:]) {
+	if crc32.ChecksumIEEE(buf[:1]) != binary.BigEndian.Uint32(buf[1:]) {
 		return 0, fmt.Errorf("%w: status CRC mismatch", ErrPeerProtocol)
 	}
 	return buf[0], nil
@@ -159,7 +159,7 @@ func writePeerBlocks(w io.Writer, blocks []selective.Block) error {
 		}
 		binary.BigEndian.PutUint32(hdr[1:5], uint32(b.RawLen))
 		binary.BigEndian.PutUint32(hdr[5:9], uint32(len(b.Payload)))
-		binary.BigEndian.PutUint32(hdr[9:13], checksum.CRC32(b.Payload))
+		binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(b.Payload))
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ func writePeerBlocks(w io.Writer, blocks []selective.Block) error {
 	hdr[0] = peerBlockFlagEnd
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(blocks)))
 	binary.BigEndian.PutUint32(hdr[5:9], 0)
-	binary.BigEndian.PutUint32(hdr[9:13], checksum.CRC32(hdr[:9]))
+	binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(hdr[:9]))
 	_, err := w.Write(hdr[:])
 	return err
 }
@@ -187,7 +187,7 @@ func readPeerBlocks(r io.Reader) ([]selective.Block, error) {
 			return nil, fmt.Errorf("%w: truncated block: %v", ErrPeerProtocol, err)
 		}
 		if hdr[0] == peerBlockFlagEnd {
-			if checksum.CRC32(hdr[:9]) != binary.BigEndian.Uint32(hdr[9:13]) {
+			if crc32.ChecksumIEEE(hdr[:9]) != binary.BigEndian.Uint32(hdr[9:13]) {
 				return nil, fmt.Errorf("%w: end frame CRC mismatch", ErrPeerProtocol)
 			}
 			if n := binary.BigEndian.Uint32(hdr[1:5]); int(n) != len(blocks) {
@@ -213,7 +213,7 @@ func readPeerBlocks(r io.Reader) ([]selective.Block, error) {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil, fmt.Errorf("%w: truncated payload: %v", ErrPeerProtocol, err)
 		}
-		if checksum.CRC32(payload) != binary.BigEndian.Uint32(hdr[9:13]) {
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[9:13]) {
 			return nil, fmt.Errorf("%w: block payload CRC mismatch", ErrPeerProtocol)
 		}
 		blocks = append(blocks, selective.Block{

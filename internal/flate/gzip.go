@@ -3,8 +3,8 @@ package flate
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/checksum"
+	"hash/adler32"
+	"hash/crc32"
 )
 
 // gzip container constants (RFC 1952).
@@ -41,7 +41,7 @@ func GzipCompress(data []byte, level int) ([]byte, error) {
 		return nil, err
 	}
 	var trailer [gzipTrailLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], checksum.CRC32(data))
+	binary.LittleEndian.PutUint32(trailer[0:4], crc32.ChecksumIEEE(data))
 	binary.LittleEndian.PutUint32(trailer[4:8], uint32(len(data)))
 	return append(out.b, trailer[:]...), nil
 }
@@ -123,7 +123,7 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if checksum.CRC32(out[base:]) != wantCRC {
+	if crc32.ChecksumIEEE(out[base:]) != wantCRC {
 		return nil, fmt.Errorf("%w: gzip CRC mismatch", ErrCorrupt)
 	}
 	if uint32(len(out)-base) != wantSize {
@@ -195,7 +195,7 @@ func ZlibCompress(data []byte, level int) ([]byte, error) {
 		return nil, err
 	}
 	var trailer [zlibTrailLen]byte
-	binary.BigEndian.PutUint32(trailer[:], checksum.Adler32(data))
+	binary.BigEndian.PutUint32(trailer[:], adler32.Checksum(data))
 	return append(out.b, trailer[:]...), nil
 }
 
@@ -228,7 +228,7 @@ func ZlibDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 		return nil, err
 	}
 	want := binary.BigEndian.Uint32(data[len(data)-zlibTrailLen:])
-	if checksum.Adler32(out[base:]) != want {
+	if adler32.Checksum(out[base:]) != want {
 		return nil, fmt.Errorf("%w: adler32 mismatch", ErrCorrupt)
 	}
 	return out, nil

@@ -2,9 +2,9 @@ package flate
 
 import (
 	"encoding/binary"
+	"hash/adler32"
+	"hash/crc32"
 	"sync"
-
-	"repro/internal/checksum"
 )
 
 // Chunked ("pigz-style") compression: the input is split at fixed
@@ -115,7 +115,7 @@ func GzipCompressParallel(data []byte, level, workers int) ([]byte, error) {
 	hdr[9] = gzipOSUnix
 	out := stitch(hdr[:], chunks, gzipTrailLen)
 	var trailer [gzipTrailLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], checksum.CRC32(data))
+	binary.LittleEndian.PutUint32(trailer[0:4], crc32.ChecksumIEEE(data))
 	binary.LittleEndian.PutUint32(trailer[4:8], uint32(len(data)))
 	return append(out, trailer[:]...), nil
 }
@@ -150,6 +150,6 @@ func ZlibCompressParallel(data []byte, level, workers int) ([]byte, error) {
 	}
 	out := stitch([]byte{cmf, flg}, chunks, zlibTrailLen)
 	var trailer [zlibTrailLen]byte
-	binary.BigEndian.PutUint32(trailer[:], checksum.Adler32(data))
+	binary.BigEndian.PutUint32(trailer[:], adler32.Checksum(data))
 	return append(out, trailer[:]...), nil
 }

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"repro/internal/bitio"
-	"repro/internal/checksum"
 	"repro/internal/huffman"
 	"repro/internal/lz77"
 )
@@ -111,7 +111,7 @@ func (zw *Writer) flushSegment() error {
 	if len(zw.buf) == 0 {
 		return nil
 	}
-	zw.crc = checksum.UpdateCRC32(zw.crc, zw.buf)
+	zw.crc = crc32.Update(zw.crc, crc32.IEEETable, zw.buf)
 	zw.in += uint32(len(zw.buf))
 	if zw.enc == nil {
 		zw.enc = getEncoder(zw.bw, zw.buf)
@@ -446,7 +446,7 @@ func (zr *Reader) Read(p []byte) (int, error) {
 	}
 	if len(zr.pending) > 0 {
 		n := copy(p, zr.pending)
-		zr.crc = checksum.UpdateCRC32(zr.crc, zr.pending[:n])
+		zr.crc = crc32.Update(zr.crc, crc32.IEEETable, zr.pending[:n])
 		zr.out += uint32(n)
 		zr.pending = zr.pending[n:]
 		return n, nil

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
@@ -14,13 +15,20 @@ import (
 
 // adminStatsz is the /statsz document: the same Stats snapshot the
 // SIGUSR1 report prints (one source of truth), plus process-level context
-// an operator wants next to it.
+// an operator wants next to it. Idle reports whether no connection was
+// still being accounted when the snapshot was taken: only an idle
+// snapshot is guaranteed to reconcile with the traffic clients saw.
 type adminStatsz struct {
 	Stats      Stats  `json:"stats"`
+	Idle       bool   `json:"idle"`
 	Goroutines int    `json:"goroutines"`
 	UptimeMS   int64  `json:"uptime_ms"`
 	StartedAt  string `json:"started_at"`
 }
+
+// maxQuiesceWait caps how long a /statsz?quiesce= request may hold its
+// handler waiting for the server to go idle.
+const maxQuiesceWait = 10 * time.Second
 
 // AdminHandler returns the server's admin plane, served by proxyd's
 // -admin listener (and mountable anywhere an http.Handler fits):
@@ -35,7 +43,10 @@ type adminStatsz struct {
 // /tracez and /eventsz take ?name= (keep only spans/events with that
 // span name, e.g. "fetch" or "serve") and ?limit=N (keep only the most
 // recent N after filtering), so an operator can pull just the slice they
-// want from a busy proxyd.
+// want from a busy proxyd. /statsz takes ?quiesce=D (a Go duration):
+// wait up to D for in-flight connections to finish their accounting, so
+// the snapshot's counters reconcile; its "idle" field says whether they
+// did.
 //
 // The handler holds no locks across requests and reads the same atomics
 // the dataplane writes, so scraping it is safe under full load.
@@ -60,8 +71,15 @@ func (s *Server) AdminHandler() http.Handler {
 	})
 
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
+		// ?quiesce=D waits up to D (capped at maxQuiesceWait) for the
+		// server to go idle before taking the snapshot.
+		wait, _ := time.ParseDuration(r.URL.Query().Get("quiesce"))
+		ctx, cancel := context.WithTimeout(r.Context(), min(max(wait, 0), maxQuiesceWait))
+		idle := s.Quiesce(ctx) == nil
+		cancel()
 		doc := adminStatsz{
 			Stats:      s.Stats(),
+			Idle:       idle,
 			Goroutines: runtime.NumGoroutine(),
 			UptimeMS:   time.Since(started).Milliseconds(),
 			StartedAt:  started.UTC().Format(time.RFC3339),

@@ -9,9 +9,11 @@ package proxy
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/workload"
 )
 
 // TestReadBlockPooledAllocs: once the pool is warm, reading a verified
@@ -62,5 +64,47 @@ func TestGetBufRecycles(t *testing.T) {
 	}
 	if cap(c) < 100_000 {
 		t.Fatalf("recycled buffer cap = %d", cap(c))
+	}
+}
+
+// TestLargeFetchBytesPerOp: a warm loopback fetch of a 12 MiB file —
+// well past maxPrealloc, so the output buffer must grow — allocates at
+// most 3x the raw size per fetch, server side included. Doubling the
+// buffer costs about 2.25x here (1+2+4+8+12 MiB); growing it by one
+// 128 KiB block at a time would copy the prefix once per block, tens of
+// times the file size.
+func TestLargeFetchBytesPerOp(t *testing.T) {
+	const size = 12 << 20
+	content := workload.Generate(workload.ClassXML, size, 8)
+	srv := NewServer(nil)
+	srv.Register("big", content)
+	if err := srv.Precompress("big", codec.Gzip); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(addr)
+	fetch := func() {
+		got, _, err := cli.Fetch("big", codec.Gzip, ModePrecompressed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != size {
+			t.Fatalf("fetched %d bytes, want %d", len(got), size)
+		}
+	}
+	fetch() // warm the buffer pools
+	const runs = 3
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	for i := 0; i < runs; i++ {
+		fetch()
+	}
+	runtime.ReadMemStats(&m2)
+	if perOp := (m2.TotalAlloc - m1.TotalAlloc) / runs; perOp > 3*size {
+		t.Errorf("large fetch allocates %d B/op, want <= %d (3x raw size): output growth not amortised?", perOp, 3*size)
 	}
 }

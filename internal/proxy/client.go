@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -401,12 +402,6 @@ func budgetMilliJoules(j float64) uint32 {
 	return uint32(mj)
 }
 
-// decoded is one block's decompression outcome, in order.
-type decoded struct {
-	data []byte
-	err  error
-}
-
 // Fetch downloads name with the given scheme and mode, returning the
 // verified content and transfer statistics. Reception and decompression
 // run in separate goroutines: block i decompresses while block i+1 is on
@@ -642,73 +637,54 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// goroutine. Channel capacity 1: the decompressor works on block i
 	// while block i+1 is being received.
 	//
-	// Buffer ownership: block payloads come from the codec buffer pool
-	// (readBlock draws them); the decompressor recycles a compressed
-	// payload as soon as it is decoded, and its output rides a pooled
-	// scratch buffer that drainOne recycles after appending — so a
-	// steady-state fetch uses O(1) pooled buffers regardless of block
-	// count. A raw payload passes through to drainOne unchanged.
+	// Buffer ownership: from here until <-done the decompressor goroutine
+	// owns out; the receive loop does not touch it. Blocks are decoded
+	// strictly in order, so the goroutine decodes each compressed payload
+	// straight onto the end of out and appends each raw payload there —
+	// no intermediate buffer. Payloads come from the codec buffer pool
+	// (readBlock draws them) and are recycled as soon as they are consumed,
+	// so a steady-state fetch uses O(1) pooled buffers regardless of block
+	// count. After the first failed block the goroutine appends nothing
+	// more: out is then exactly the blocks verified before the failure,
+	// which is the resume prefix.
 	blocksCh := make(chan wireBlock, 1)
-	resultCh := make(chan decoded, 1)
 	done := make(chan struct{})
+	var decFailed atomic.Bool
+	var decErr error
 	var decompWall time.Duration
 	var decompBytes int64
 
 	go func() {
 		defer close(done)
 		for b := range blocksCh {
-			start := time.Now()
-			var d decoded
-			if b.Flag == blockFlagCompressed {
-				raw, err := codec.DecompressInto(dec, codec.GetBuf(int(b.RawLen)), b.Payload, int(b.RawLen))
+			if decErr != nil {
 				codec.PutBuf(b.Payload)
-				if err == nil && len(raw) != int(b.RawLen) {
-					err = fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, len(raw), b.RawLen)
-				}
-				if err != nil {
-					codec.PutBuf(raw)
-					raw = nil
-				}
-				decompBytes += int64(len(raw))
-				d = decoded{data: raw, err: err}
-			} else {
-				d = decoded{data: b.Payload}
+				continue
+			}
+			start := time.Now()
+			n := len(out)
+			out, decErr = appendBlock(dec, out, b, hdr.RawSize)
+			if b.Flag == blockFlagCompressed {
+				decompBytes += int64(len(out) - n)
 			}
 			decompWall += time.Since(start)
-			resultCh <- d
+			if decErr != nil {
+				decFailed.Store(true)
+			}
 		}
-		close(resultCh)
 	}()
 
 	var wantCRC uint32
 	var recvErr error
-	pending := 0
 	recvStart := clk.Now()
 	recvBytes := 0
 	// rawPromised tracks the raw bytes the accepted block headers have
 	// claimed so far; it may never exceed the header's total.
 	rawPromised := hdr.Offset
 
-	drainOne := func() error {
-		d := <-resultCh
-		pending--
-		if d.err != nil {
-			return d.err
-		}
-		out = append(out, d.data...)
-		codec.PutBuf(d.data)
-		// readBlock guarantees a raw block's payload matches its RawLen and
-		// the decompressor checks the same for compressed blocks, so the
-		// rawPromised budget already bounds this; re-check here so the
-		// memory guarantee does not depend on code in another file.
-		if uint64(len(out)) > hdr.RawSize {
-			return fmt.Errorf("%w: %d raw bytes received, header says %d", ErrProtocol, len(out), hdr.RawSize)
-		}
-		return nil
-	}
-
-recvLoop:
-	for {
+	// The receive loop stops early once a block has failed to decode: the
+	// rest of the stream cannot extend the verified prefix.
+	for !decFailed.Load() {
 		b, crc, ok, err := readBlock(br)
 		if err != nil {
 			recvErr = err
@@ -718,7 +694,7 @@ recvLoop:
 			wantCRC = crc
 			stats.WireBytes += blockHeaderLen // end frame
 			recvBytes += blockHeaderLen
-			break recvLoop
+			break
 		}
 		rawPromised += uint64(b.RawLen)
 		if rawPromised > hdr.RawSize {
@@ -732,24 +708,13 @@ recvLoop:
 		if b.Flag == blockFlagCompressed {
 			stats.BlocksCompressed++
 		}
-		// Keep at most one result outstanding so memory stays bounded.
-		for pending > 1 {
-			if err := drainOne(); err != nil {
-				codec.PutBuf(b.Payload) // b never reached the decompressor
-				recvErr = err
-				break recvLoop
-			}
-		}
 		blocksCh <- b
-		pending++
 	}
 	close(blocksCh)
-	for pending > 0 {
-		if err := drainOne(); err != nil && recvErr == nil {
-			recvErr = err
-		}
-	}
 	<-done
+	if recvErr == nil {
+		recvErr = decErr
+	}
 	stats.DecompressWall += decompWall
 	span.PhaseDetail("recv", obs.ClassRadio, attemptDetail, recvStart, clk.Now().Sub(recvStart), int64(recvBytes))
 	if decompWall > 0 {
@@ -771,10 +736,11 @@ recvLoop:
 	if uint64(len(out)) != hdr.RawSize {
 		return out, false, fmt.Errorf("%w: got %d bytes, header says %d", ErrProtocol, len(out), hdr.RawSize)
 	}
-	verifyStart := time.Now()
+	// Stamp the phase where hashing starts, so its interval covers the
+	// hash itself and ends before the span does.
+	verifyAt, verifyStart := clk.Now(), time.Now()
 	contentCRC := crcOf(out)
-	verifyWall := time.Since(verifyStart)
-	span.PhaseDetail("verify", obs.ClassCPU, attemptDetail, clk.Now(), verifyWall, 0)
+	span.PhaseDetail("verify", obs.ClassCPU, attemptDetail, verifyAt, time.Since(verifyStart), 0)
 	if contentCRC != wantCRC {
 		// Every block passed its frame CRC, so a whole-content mismatch
 		// means the pieces come from different file generations: poison
@@ -782,4 +748,53 @@ recvLoop:
 		return nil, true, fmt.Errorf("%w: content CRC mismatch", ErrProtocol)
 	}
 	return out, false, nil
+}
+
+// appendBlock appends block b's raw bytes to out — a compressed payload is
+// decoded straight into out's spare capacity — and recycles the payload.
+// On error out comes back with its length unchanged. limit is the header's
+// total raw size, which out may never exceed.
+func appendBlock(dec codec.Codec, out []byte, b wireBlock, limit uint64) ([]byte, error) {
+	defer codec.PutBuf(b.Payload)
+	n := int(b.RawLen)
+	out = growOut(out, n, limit)
+	var ext []byte
+	if b.Flag == blockFlagCompressed {
+		var err error
+		if ext, err = codec.DecompressInto(dec, out, b.Payload, n); err != nil {
+			return out, err
+		}
+		if len(ext)-len(out) != n {
+			return out, fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, len(ext)-len(out), n)
+		}
+	} else {
+		ext = append(out, b.Payload...)
+	}
+	// readBlock guarantees a raw block's payload matches its RawLen, the
+	// check above does the same for compressed blocks, and the receive
+	// loop's rawPromised budget bounds their sum; re-check here so the
+	// memory guarantee does not depend on code elsewhere.
+	if uint64(len(ext)) > limit {
+		return out, fmt.Errorf("%w: %d raw bytes received, header says %d", ErrProtocol, len(ext), limit)
+	}
+	return ext, nil
+}
+
+// growOut makes room for n more bytes in out. Capacity at least doubles
+// (clamped to limit, the header's claimed total) rather than growing by
+// one block at a time, so a fetch past maxPrealloc copies its prefix
+// O(log size) times instead of once per block. A lying header still
+// costs at most about twice the bytes that actually arrived.
+func growOut(out []byte, n int, limit uint64) []byte {
+	need := len(out) + n
+	if need <= cap(out) {
+		return out
+	}
+	c := 2 * cap(out)
+	if uint64(c) > limit {
+		c = int(limit)
+	}
+	grown := make([]byte, len(out), max(c, need))
+	copy(grown, out)
+	return grown
 }

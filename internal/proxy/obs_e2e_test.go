@@ -154,7 +154,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Server side: Stats(), /statsz, /metrics and /tracez must agree.
+	// --- Server side: Stats(), /statsz, /metrics and /tracez must agree
+	// once the server has finished accounting every connection.
+	quiesce(t, srv)
 	ss := srv.Stats()
 	if ss.ConnsTotal != 4 {
 		t.Errorf("ConnsTotal = %d, want 4 (two attempts + miss + hit)", ss.ConnsTotal)
@@ -168,10 +170,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	var statsz struct {
 		Stats      Stats `json:"stats"`
+		Idle       bool  `json:"idle"`
 		Goroutines int   `json:"goroutines"`
 	}
-	if err := json.Unmarshal(httpGet(t, admin.URL+"/statsz"), &statsz); err != nil {
+	if err := json.Unmarshal(httpGet(t, admin.URL+"/statsz?quiesce=5s"), &statsz); err != nil {
 		t.Fatal(err)
+	}
+	if !statsz.Idle {
+		t.Error("/statsz?quiesce=5s did not report an idle server")
 	}
 	if statsz.Goroutines <= 0 {
 		t.Error("statsz goroutines missing")

@@ -68,8 +68,8 @@ func (s *Server) DeciderFP() string { return s.deciderFP }
 func (s *Server) Generation(name string) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gen, ok := s.gens[name]
-	return gen, ok
+	e, ok := s.files[name]
+	return e.gen, ok
 }
 
 // SyncGeneration raises this node's generation for name to at least gen
@@ -78,11 +78,13 @@ func (s *Server) Generation(name string) (uint64, bool) {
 // arriving late is a no-op).
 func (s *Server) SyncGeneration(name string, gen uint64) {
 	s.mu.Lock()
-	if _, ok := s.files[name]; !ok || s.gens[name] >= gen {
+	e, ok := s.files[name]
+	if !ok || e.gen >= gen {
 		s.mu.Unlock()
 		return
 	}
-	s.gens[name] = gen
+	e.gen = gen
+	s.files[name] = e
 	s.mu.Unlock()
 	if s.cache != nil {
 		s.cache.invalidate(name, gen)
@@ -109,11 +111,11 @@ func (s *Server) deciderFor(fp string) (selective.Decider, bool) {
 // consult is disabled on this path, so ownership confusion during ring
 // churn can never forward a request in a cycle.
 func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
-	content, gen, ok := s.lookup(key.Name)
+	e, ok := s.lookup(key.Name)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if gen != key.Gen {
+	if e.gen != key.Gen {
 		return nil, ErrStaleGeneration
 	}
 	d, ok := s.deciderFor(key.FP)
@@ -121,7 +123,7 @@ func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
 		return nil, errors.New("proxy: unknown decider fingerprint " + key.FP)
 	}
 	k := cacheKey{name: key.Name, gen: key.Gen, scheme: key.Scheme, fp: key.FP}
-	return s.getOrCompress(k, content, key.Scheme, d, nil, false)
+	return s.getOrCompress(k, e.content, key.Scheme, d, nil, false)
 }
 
 // CachedArtifact returns key's artifact if (and only if) it is already in

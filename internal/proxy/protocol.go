@@ -16,9 +16,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
-	"repro/internal/checksum"
 	"repro/internal/codec"
 	"repro/internal/selective"
 )
@@ -213,7 +213,7 @@ func readRequest(r io.Reader) (request, error) {
 	}
 	body := rest[:len(rest)-4]
 	wantCRC := binary.BigEndian.Uint32(rest[len(rest)-4:])
-	sum := checksum.UpdateCRC32(checksum.CRC32(hdr[len(protoMagic):]), body)
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[len(protoMagic):]), crc32.IEEETable, body)
 	if sum != wantCRC {
 		return request{}, fmt.Errorf("%w: request CRC mismatch", ErrProtocol)
 	}
@@ -352,5 +352,5 @@ func readBlock(r io.Reader) (b wireBlock, crc uint32, ok bool, err error) {
 	return b, 0, true, nil
 }
 
-// crcOf is a helper around the repository's own CRC-32.
-func crcOf(data []byte) uint32 { return checksum.CRC32(data) }
+// crcOf is the CRC-32/IEEE every PXY3 frame and end frame carries.
+func crcOf(data []byte) uint32 { return crc32.ChecksumIEEE(data) }

@@ -14,7 +14,9 @@ import (
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer(nil)
-	srv.Register("doc.xml", workload.Generate(workload.ClassXML, 600_000, 1))
+	// doc.xml is larger than maxPrealloc, so every scheme's fetch grows
+	// the client's output buffer while decoding into it.
+	srv.Register("doc.xml", workload.Generate(workload.ClassXML, 1_500_000, 1))
 	srv.Register("app.bin", workload.Generate(workload.ClassBinary, 400_000, 2))
 	srv.Register("noise.dat", workload.Generate(workload.ClassRandom, 300_000, 3))
 	srv.Register("mixed.tar", workload.MixedFile(640_000, 4))
@@ -46,7 +48,7 @@ func TestList(t *testing.T) {
 
 func TestFetchAllModesAllSchemes(t *testing.T) {
 	srv, cli := startServer(t)
-	content := workload.Generate(workload.ClassXML, 600_000, 1)
+	content := workload.Generate(workload.ClassXML, 1_500_000, 1)
 	for _, scheme := range codec.Schemes() {
 		if err := srv.Precompress("doc.xml", scheme); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -126,8 +127,7 @@ type Server struct {
 	clock  sim.WallClock
 
 	mu    sync.Mutex
-	files map[string][]byte
-	gens  map[string]uint64
+	files map[string]fileEntry
 
 	cache   *blockCache // nil when caching is disabled
 	flights flightGroup
@@ -140,6 +140,10 @@ type Server struct {
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
+	// idle, when non-nil, is closed the next time conns empties: the
+	// channel Quiesce callers wait on. Nil while nobody waits, so the
+	// connection path pays nothing for it.
+	idle chan struct{}
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -235,8 +239,7 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 		log:       logger,
 		clock:     clock,
 		metrics:   newMetrics(reg),
-		files:     make(map[string][]byte),
-		gens:      make(map[string]uint64),
+		files:     make(map[string]fileEntry),
 		workerSem: make(chan struct{}, cfg.Workers),
 		connSem:   make(chan struct{}, cfg.MaxConns),
 		conns:     make(map[net.Conn]struct{}),
@@ -258,20 +261,31 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 	return s
 }
 
+// fileEntry is one registered file: its content, the content's CRC-32
+// (the end frame's value, computed once here rather than per serve) and
+// its registration generation. The three are replaced together under
+// Server.mu, so a reader can never pair new content with an old CRC.
+type fileEntry struct {
+	content []byte
+	crc     uint32
+	gen     uint64
+}
+
 // Register stores a file under name. Content is copied. Re-registering a
 // name bumps its generation and drops its cached artifacts.
 func (s *Server) Register(name string, content []byte) {
+	e := fileEntry{content: append([]byte{}, content...)}
+	e.crc = crcOf(e.content)
 	s.mu.Lock()
-	s.files[name] = append([]byte{}, content...)
-	s.gens[name]++
-	gen := s.gens[name]
+	e.gen = s.files[name].gen + 1
+	s.files[name] = e
 	s.mu.Unlock()
 	if s.cache != nil {
 		// Invalidate below the new generation rather than bare-dropping:
 		// the generation floor also blocks a concurrent singleflight fill
 		// for the old generation from re-inserting its artifact after the
 		// scan (see blockCache.invalidate).
-		s.cache.invalidate(name, gen)
+		s.cache.invalidate(name, e.gen)
 	}
 }
 
@@ -310,12 +324,12 @@ func (s *Server) refreshGauges() {
 	}
 }
 
-// lookup returns the named file's content and current generation.
-func (s *Server) lookup(name string) (content []byte, gen uint64, ok bool) {
+// lookup returns the named file's current registry entry.
+func (s *Server) lookup(name string) (fileEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	content, ok = s.files[name]
-	return content, s.gens[name], ok
+	e, ok := s.files[name]
+	return e, ok
 }
 
 // Precompress compresses name's blocks with scheme ahead of time, as the
@@ -324,12 +338,12 @@ func (s *Server) lookup(name string) (content []byte, gen uint64, ok bool) {
 // ModePrecompressed (or ModeOnDemand) request for the same scheme is a
 // cache hit.
 func (s *Server) Precompress(name string, scheme codec.Scheme) error {
-	content, gen, ok := s.lookup(name)
+	e, ok := s.lookup(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	key := cacheKey{name: name, gen: gen, scheme: scheme, fp: fpAlways}
-	_, err := s.getOrCompress(key, content, scheme, selective.AlwaysCompress{}, nil, false)
+	key := cacheKey{name: name, gen: e.gen, scheme: scheme, fp: fpAlways}
+	_, err := s.getOrCompress(key, e.content, scheme, selective.AlwaysCompress{}, nil, false)
 	return err
 }
 
@@ -528,6 +542,8 @@ func (s *Server) acceptLoop() {
 			defer func() {
 				s.metrics.connsActive.Add(-1)
 				s.metrics.observeLatency(s.clock.Now().Sub(start))
+				// Untracking comes after every counter update: it is the
+				// point Quiesce waits for.
 				s.trackConn(conn, false)
 				conn.Close()
 				<-s.connSem
@@ -548,8 +564,37 @@ func (s *Server) trackConn(conn net.Conn, add bool) {
 	defer s.connMu.Unlock()
 	if add {
 		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
+		return
+	}
+	delete(s.conns, conn)
+	if len(s.conns) == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
+}
+
+// Quiesce blocks until no accepted connection is still being served or
+// accounted for, or until ctx is done. A client sees its response before
+// the server's connection goroutine has decremented ConnsActive and
+// observed the request's latency; after a nil Quiesce every connection
+// the server had begun serving is fully counted, so Stats reconciles with
+// the traffic its clients saw.
+func (s *Server) Quiesce(ctx context.Context) error {
+	s.connMu.Lock()
+	if len(s.conns) == 0 {
+		s.connMu.Unlock()
+		return nil
+	}
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+	idle := s.idle
+	s.connMu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -646,12 +691,12 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 }
 
 func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error {
-	content, gen, ok := s.lookup(req.Name)
+	e, ok := s.lookup(req.Name)
 	if !ok {
 		return writeGetHeader(bw, getHeader{Status: statusNotFound})
 	}
 
-	blocks, err := s.blocksFor(req, content, gen, span)
+	blocks, err := s.blocksFor(req, e.content, e.gen, span)
 	if err != nil {
 		return err
 	}
@@ -666,7 +711,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 	}
 	if err := writeGetHeader(bw, getHeader{
 		Status:  statusOK,
-		RawSize: uint64(len(content)),
+		RawSize: uint64(len(e.content)),
 		Scheme:  req.Scheme,
 		Offset:  granted,
 	}); err != nil {
@@ -694,7 +739,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 		}
 	}
 	span.Phase("write-blocks", "", writeStart, time.Since(writeStart), wrote)
-	if err := writeEnd(bw, crcOf(content)); err != nil {
+	if err := writeEnd(bw, e.crc); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -1,14 +1,20 @@
 package proxy
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/checksum"
 	"repro/internal/codec"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -16,7 +22,7 @@ import (
 // over overlapping (file, scheme, mode) tuples and asserts:
 //
 //	(a) no data corruption — every fetch's CRC-32 matches the registered
-//	    content (internal/checksum);
+//	    content;
 //	(b) singleflight — compressBlocks ran at most once per cache key;
 //	(c) the Stats() counters reconcile exactly with observed traffic.
 //
@@ -32,7 +38,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	wantCRC := make(map[string]uint32, len(files))
 	for n, data := range files {
-		wantCRC[n] = checksum.CRC32(data)
+		wantCRC[n] = crc32.ChecksumIEEE(data)
 	}
 
 	// Budget large enough that nothing evicts: with zero evictions the
@@ -85,7 +91,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					errs[i] = fmt.Errorf("fetch %s/%v/%v: %w", name, scheme, mode, err)
 					return
 				}
-				if checksum.CRC32(got) != wantCRC[name] || len(got) != len(files[name]) {
+				if crc32.ChecksumIEEE(got) != wantCRC[name] || len(got) != len(files[name]) {
 					errs[i] = fmt.Errorf("%s/%v/%v: content corrupted", name, scheme, mode)
 					return
 				}
@@ -107,6 +113,9 @@ func TestServerConcurrentClients(t *testing.T) {
 		}
 	}
 
+	// Every client has its response, but the server may still be
+	// accounting the last connections; reconcile only once it is idle.
+	quiesce(t, srv)
 	st := srv.Stats()
 
 	// (b) singleflight: at most one compression per key, and never more
@@ -186,7 +195,7 @@ func TestServerBusySheds(t *testing.T) {
 			defer mu.Unlock()
 			switch {
 			case err == nil:
-				if checksum.CRC32(got) != checksum.CRC32(data) {
+				if crc32.ChecksumIEEE(got) != crc32.ChecksumIEEE(data) {
 					other++
 				} else {
 					ok++
@@ -205,6 +214,7 @@ func TestServerBusySheds(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no fetch succeeded under the connection cap")
 	}
+	quiesce(t, srv)
 	st := srv.Stats()
 	if st.ConnsRejected != busy {
 		t.Errorf("ConnsRejected = %d, clients saw %d ErrBusy", st.ConnsRejected, busy)
@@ -236,7 +246,7 @@ func TestCloseDrainsInflightTransfers(t *testing.T) {
 	resCh := make(chan result, 1)
 	go func() {
 		got, _, err := NewClient(addr).Fetch("big.src", codec.Gzip, ModeOnDemand)
-		resCh <- result{checksum.CRC32(got), err}
+		resCh <- result{crc32.ChecksumIEEE(got), err}
 	}()
 
 	<-started // compression (and hence the response) is in flight
@@ -247,7 +257,142 @@ func TestCloseDrainsInflightTransfers(t *testing.T) {
 	if res.err != nil {
 		t.Fatalf("in-flight fetch aborted by Close: %v", res.err)
 	}
-	if res.crc != checksum.CRC32(data) {
+	if res.crc != crc32.ChecksumIEEE(data) {
 		t.Fatal("in-flight fetch corrupted by Close")
 	}
+}
+
+// quiesce waits for srv to finish accounting every accepted connection.
+func quiesce(t *testing.T, srv *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Quiesce(ctx); err != nil {
+		t.Fatalf("server did not go idle: %v", err)
+	}
+}
+
+// gateClock is the host clock until armed; once armed, Now blocks until
+// release is closed.
+type gateClock struct {
+	sim.SystemClock
+	armed   atomic.Bool
+	release chan struct{}
+}
+
+func (c *gateClock) Now() time.Time {
+	if c.armed.Load() {
+		<-c.release
+	}
+	return c.SystemClock.Now()
+}
+
+// armOnWrite arms the clock at the connection's first response write,
+// after which the server reads the clock only to observe the request's
+// latency.
+type armOnWrite struct {
+	net.Conn
+	clock *gateClock
+}
+
+func (c armOnWrite) Write(p []byte) (int, error) {
+	c.clock.armed.Store(true)
+	return c.Conn.Write(p)
+}
+
+// TestQuiesceWaitsForConnectionAccounting pins the window the stress test
+// used to race: the client holds its whole response while the server's
+// connection goroutine has not yet observed the request's latency. Quiesce
+// must not return inside that window, and must return once it closes.
+func TestQuiesceWaitsForConnectionAccounting(t *testing.T) {
+	clock := &gateClock{release: make(chan struct{})}
+	srv := NewServerWith(nil, Config{
+		Clock:    clock,
+		WrapConn: func(conn net.Conn) net.Conn { return armOnWrite{Conn: conn, clock: clock} },
+	})
+	content := workload.Generate(workload.ClassXML, 10_000, 1)
+	srv.Register("f", content)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(clock.release)
+
+	got, _, err := NewClient(addr).Fetch("f", codec.Gzip, ModeRaw)
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("fetch: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Quiesce(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Quiesce returned %v while the connection was still being accounted", err)
+	}
+	if n := latencyCount(srv.Stats()); n != 0 {
+		t.Fatalf("latency observed %d times before the clock was released", n)
+	}
+
+	clock.armed.Store(false)
+	clock.release <- struct{}{}
+	quiesce(t, srv)
+	st := srv.Stats()
+	if n := latencyCount(st); n != 1 || st.ConnsActive != 0 || st.ConnsTotal != 1 {
+		t.Errorf("after Quiesce: %d latency observations, ConnsActive %d, ConnsTotal %d; want 1, 0, 1", n, st.ConnsActive, st.ConnsTotal)
+	}
+}
+
+func latencyCount(st Stats) int64 {
+	var n int64
+	for _, b := range st.Latency {
+		n += b.Count
+	}
+	return n
+}
+
+// TestReRegisterKeepsContentAndCRCPaired: re-registering a name while
+// clients fetch it must never serve one version's blocks with the other
+// version's end-frame CRC. Both versions have the same length, so only the
+// content CRC can tell them apart; a mismatched pair would fail the
+// (non-retrying) client's content check.
+func TestReRegisterKeepsContentAndCRCPaired(t *testing.T) {
+	versions := [][]byte{
+		workload.Generate(workload.ClassXML, 300_000, 1),
+		workload.Generate(workload.ClassXML, 300_000, 2),
+	}
+	srv := NewServer(nil)
+	srv.Register("f", versions[0])
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.Register("f", versions[i%2])
+			}
+		}
+	}()
+	cli := NewClient(addr)
+	for i := 0; i < 40; i++ {
+		mode := []Mode{ModeRaw, ModeOnDemand}[i%2]
+		got, _, err := cli.Fetch("f", codec.Gzip, mode)
+		if err != nil {
+			t.Errorf("fetch %d (%v): %v", i, mode, err)
+			continue
+		}
+		if !bytes.Equal(got, versions[0]) && !bytes.Equal(got, versions[1]) {
+			t.Errorf("fetch %d (%v) returned neither registered version", i, mode)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

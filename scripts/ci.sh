@@ -2,9 +2,11 @@
 # CI gate: vet + lint + build + full test suite under the race detector
 # (which includes the fault-injection stress test and the malicious-server
 # suite), then an explicit race-mode pass over the hostile-wire and
-# telemetry tests, short fuzz passes over the PXY3 wire-format and SEL1
-# container parsers, a deterministic virtual-time soak with invariant
-# oracles (fixed seeds plus one printed random seed for replay), the
+# telemetry tests, a single-P repeat of the counter-reconciliation stress
+# test, short fuzz passes over the PXY3 wire-format and SEL1 container
+# parsers and the gzip/zlib, LZW and bzip2 decoders, a deterministic
+# virtual-time soak with invariant oracles (fixed seeds plus one printed
+# random seed for replay), the
 # scenario-corpus gate (every declarative spec diffed against its golden
 # trace at two pinned seeds plus a wall-clock seed, then the 10k-client
 # load-generation fleet), the decider gate (dominance and deadline
@@ -49,6 +51,11 @@ go test -race -run 'TestFetchCompletesUnderFaults|TestFetchResumes|TestMalicious
 go test -race ./internal/obs
 go test -race -run 'TestObservabilityEndToEnd|TestPermanentErrorClassification' ./internal/proxy
 
+# The quiesce gate: counters must reconcile with client-observed traffic
+# once Server.Quiesce returns, even on one P where the server's
+# per-connection accounting trails the client's last read the longest.
+GOMAXPROCS=1 go test -race -count=20 -run TestServerConcurrentClients ./internal/proxy
+
 # The decider property gate: the dynamic queue-aware decider must never
 # cost more modeled joules than the static Eq. 6 choice, never violate a
 # deadline the static choice met, and beat static somewhere — swept over
@@ -63,6 +70,8 @@ go test -run='^$' -fuzz=FuzzReadRequest -fuzztime=10s ./internal/proxy
 go test -run='^$' -fuzz=FuzzReadBlockFrame -fuzztime=10s ./internal/proxy
 go test -run='^$' -fuzz=FuzzGzipDifferential -fuzztime=10s ./internal/flate
 go test -run='^$' -fuzz=FuzzDeflateDifferential -fuzztime=10s ./internal/flate
+go test -run='^$' -fuzz=FuzzLZWDecompress -fuzztime=10s ./internal/lzw
+go test -run='^$' -fuzz=FuzzBzip2Decompress -fuzztime=10s ./internal/bwt
 go test -run='^$' -fuzz=FuzzSELRoundTrip -fuzztime=10s ./internal/selective
 go test -run='^$' -fuzz=FuzzSELParse -fuzztime=10s ./internal/selective
 
@@ -175,7 +184,7 @@ check_cover ./internal/workload 93
 # allocations, the table-driven Huffman fast path must stay zero-alloc
 # per symbol, and a 100x bench smoke proves every dataplane benchmark
 # still runs (scripts/bench.sh is the full trajectory harness).
-go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc' -count=1 ./internal/proxy
+go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestLargeFetchBytesPerOp' -count=1 ./internal/proxy
 go test -run 'TestDecodeLSBZeroAlloc' -count=1 ./internal/huffman
 go test -run 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1 ./internal/flate
 
