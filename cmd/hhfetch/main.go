@@ -123,15 +123,9 @@ func run() error {
 	fmt.Printf("blocks: %d total, %d compressed; host decompress wall %.3f ms\n",
 		stats.BlocksTotal, stats.BlocksCompressed, stats.DecompressWall.Seconds()*1000)
 
-	s := float64(stats.RawBytes) / 1e6
-	sc := float64(stats.WireBytes) / 1e6
-	plain := model.DownloadEnergy(s)
-	// The same rule the client charges its trace span with: Eq. 3 when
-	// compressed blocks crossed the wire, Eq. 1 otherwise.
-	this := plain
-	if stats.BlocksCompressed > 0 {
-		this = model.InterleavedEnergy(s, sc)
-	}
+	plain := model.DownloadEnergy(float64(stats.RawBytes) / 1e6)
+	// The same model the client charges its trace span with.
+	this := model.FetchBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed > 0).Total()
 	fmt.Printf("iPAQ energy estimate at %.1f Mb/s: plain %.4f J, this transfer %.4f J (%.1f%% saving)\n",
 		*rateMbps, plain, this, (1-this/plain)*100)
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/selective"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Config wires one proxy server into a cluster.
@@ -145,7 +147,7 @@ func (n *Node) PeerFetch(key proxy.ArtifactKey) ([]selective.Block, error) {
 		vns = n.cfg.VNow()
 	}
 	start := n.cfg.Clock.Now()
-	blocks, wire, err := n.fetchFrom(owner, key)
+	blocks, wireBytes, err := n.fetchFrom(owner, key)
 	if n.cfg.Events != nil {
 		e := export.Event{
 			VNS:     vns,
@@ -160,12 +162,9 @@ func (n *Node) PeerFetch(key proxy.ArtifactKey) ([]selective.Block, error) {
 		if err != nil {
 			e.Outcome = "err"
 		} else {
+			e.WireBytes, e.Blocks = wireBytes, len(blocks)
 			for _, b := range blocks {
 				e.RawBytes += int64(b.RawLen)
-			}
-			e.WireBytes = wire
-			e.Blocks = len(blocks)
-			for _, b := range blocks {
 				if b.Compressed {
 					e.BlocksCompressed++
 				}
@@ -213,15 +212,71 @@ func (n *Node) fetchFrom(owner string, key proxy.ArtifactKey) ([]selective.Block
 	default:
 		return nil, 0, fmt.Errorf("%w: fetch status %#x", ErrPeerProtocol, status)
 	}
-	blocks, err := readPeerBlocks(conn)
+	size, _ := n.cfg.Server.FileSize(key.Name)
+	blocks, err := readPeerBlocks(conn, size)
 	if err != nil {
 		return nil, 0, err
 	}
-	wire := int64(5 + peerBlockHdrLen) // status + end frame
+	wireBytes := int64(peerStatusLen + wire.HeaderLen) // status + end frame
 	for _, b := range blocks {
-		wire += int64(peerBlockHdrLen + len(b.Payload))
+		wireBytes += int64(wire.HeaderLen + len(b.Payload))
 	}
-	return blocks, wire, nil
+	return blocks, wireBytes, nil
+}
+
+// writePeerBlocks frames an artifact's block stream, terminated by an end
+// frame carrying the block count.
+func writePeerBlocks(w io.Writer, blocks []selective.Block) error {
+	for _, b := range blocks {
+		if err := wire.WriteBlock(w, b.Compressed, uint32(b.RawLen), b.Payload); err != nil {
+			return err
+		}
+	}
+	return wire.WriteEnd(w, uint32(len(blocks)))
+}
+
+// maxCompressedLen bounds a compressed block's payload by its raw length.
+// No codec in internal/codec more than doubles a block beyond a fixed
+// header and trailer: LZW's widest code is 16 bits, at worst one per input
+// byte, and deflate and bzip2 add under 1%.
+func maxCompressedLen(rawLen uint32) uint64 { return 2*uint64(rawLen) + 1024 }
+
+// readPeerBlocks decodes a block stream of at most budget raw bytes —
+// the registered file's size, which every artifact of it decodes to — and
+// checks the trailing count. A block past the budget, or a compressed
+// block whose payload exceeds maxCompressedLen of its raw length, is
+// refused before its payload is read, so a lying peer cannot make this
+// node buffer more than 2×budget + 4 MiB of payload. Payloads get exact
+// allocations: the cache keeps them.
+func readPeerBlocks(r io.Reader, budget int) ([]selective.Block, error) {
+	var blocks []selective.Block
+	var raw uint64
+	for {
+		h, err := wire.ReadHeader(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrPeerProtocol, err)
+		}
+		if h.End() {
+			if int(h.Value) != len(blocks) {
+				return nil, fmt.Errorf("%w: stream claims %d blocks, carried %d", ErrPeerProtocol, h.Value, len(blocks))
+			}
+			return blocks, nil
+		}
+		if len(blocks) >= maxPeerBlocks {
+			return nil, fmt.Errorf("%w: more than %d blocks", ErrPeerProtocol, maxPeerBlocks)
+		}
+		if raw += uint64(h.RawLen); raw > uint64(budget) {
+			return nil, fmt.Errorf("%w: blocks claim %d raw bytes, the file has %d", ErrPeerProtocol, raw, budget)
+		}
+		if h.Compressed() && uint64(h.PayLen) > maxCompressedLen(h.RawLen) {
+			return nil, fmt.Errorf("%w: %d-byte payload for %d raw bytes", ErrPeerProtocol, h.PayLen, h.RawLen)
+		}
+		payload, err := wire.ReadPayload(r, h, make([]byte, h.PayLen))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrPeerProtocol, err)
+		}
+		blocks = append(blocks, selective.Block{Compressed: h.Compressed(), RawLen: int(h.RawLen), Payload: payload})
+	}
 }
 
 // Register stores content on the local proxy and broadcasts the resulting
@@ -284,7 +339,13 @@ func (n *Node) handle(conn net.Conn) {
 	case peerOpFetch:
 		n.handleFetch(conn, req.Key)
 	case peerOpPut:
-		blocks, err := readPeerBlocks(conn)
+		// Only a node that has the file registered takes a replica: its
+		// size is the stream's budget.
+		size, ok := n.cfg.Server.FileSize(req.Key.Name)
+		if !ok {
+			return
+		}
+		blocks, err := readPeerBlocks(conn, size)
 		if err != nil {
 			return
 		}

@@ -208,6 +208,18 @@ func (p Params) DownloadBreakdown(s float64) Breakdown {
 	return Breakdown{RadioJ: p.M*s + p.Cs, IdleJ: p.IdleTime(s) * p.Pi}
 }
 
+// FetchBreakdown is the modeled energy of a finished fetch of rawBytes
+// that read wireBytes off the link: Eq. 3 (interleaved) when any
+// compressed block crossed the wire, Eq. 1 (plain download) otherwise.
+// Every fetch-energy report in the repository comes from here.
+func (p Params) FetchBreakdown(rawBytes, wireBytes int, compressed bool) Breakdown {
+	s := float64(rawBytes) / 1e6
+	if compressed {
+		return p.InterleavedBreakdown(s, float64(wireBytes)/1e6)
+	}
+	return p.DownloadBreakdown(s)
+}
+
 // InterleavedTime returns the wall time of an interleaved compressed
 // download: the transfer time plus any decompression overhang beyond the
 // usable idle windows.

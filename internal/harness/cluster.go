@@ -135,6 +135,10 @@ func runCluster(s Scenario) (*Report, error) {
 	done := make(chan int, s.Clients+1)
 	running := 0
 
+	// Hold a ledger token until every goroutine below holds its own, so
+	// virtual time cannot advance under client 0 before the last starts.
+	gate := make(chan struct{})
+	clock.Go(func() { <-gate })
 	for i := 0; i < s.Clients; i++ {
 		i := i
 		tracer := obs.NewTracer(s.FetchesPerClient + 1)
@@ -213,6 +217,7 @@ func runCluster(s Scenario) (*Report, error) {
 		})
 	}
 
+	close(gate)
 	for running > 0 {
 		<-done
 		running--

@@ -421,6 +421,10 @@ func Run(s Scenario) (*Report, error) {
 	done := make(chan int, s.Clients+1)
 	running := 0
 
+	// Hold a ledger token until every goroutine below holds its own, so
+	// virtual time cannot advance under client 0 before the last starts.
+	gate := make(chan struct{})
+	clock.Go(func() { <-gate })
 	for i := 0; i < s.Clients; i++ {
 		i := i
 		tracer := obs.NewTracer(s.FetchesPerClient + 1)
@@ -501,6 +505,7 @@ func Run(s Scenario) (*Report, error) {
 		})
 	}
 
+	close(gate)
 	for running > 0 {
 		<-done
 		running--

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/proxy"
+	"repro/internal/wire"
 )
 
 // energyTolerance is the relative error allowed between a fetch span's
@@ -59,9 +60,9 @@ func (r *Report) checkPayloads(byName map[string]corpusFile) {
 }
 
 // checkEnergyConservation: a successful fetch's span must carry exactly
-// the joules the paper's model assigns to its transfer — Eq. 3
-// (interleaved) when compressed blocks crossed the wire, Eq. 1 (plain
-// download) otherwise — split into the same radio/CPU/idle components.
+// the joules the paper's model assigns to its transfer
+// (energy.Params.FetchBreakdown), split into the same radio/CPU/idle
+// components.
 func (r *Report) checkEnergyConservation() {
 	p := energy.Params11Mbps()
 	for ci, spans := range r.Spans {
@@ -78,14 +79,7 @@ func (r *Report) checkEnergyConservation() {
 				}
 				continue
 			}
-			s := float64(rec.Stats.RawBytes) / 1e6
-			sc := float64(rec.Stats.WireBytes) / 1e6
-			var bd energy.Breakdown
-			if rec.Stats.BlocksCompressed > 0 {
-				bd = p.InterleavedBreakdown(s, sc)
-			} else {
-				bd = p.DownloadBreakdown(s)
-			}
+			bd := p.FetchBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed > 0)
 			got := sd.TotalJoules()
 			if !closeRel(got, bd.Total()) {
 				r.violate("energy: c%02d f%03d %s: span %.12f J, model %.12f J",
@@ -165,7 +159,7 @@ func (r *Report) checkCounters() {
 		// block header per block, one end frame per completed attempt.
 		// Fault-free (attempts == 1) this recovers the exact payload bytes.
 		if r.Scenario.FaultRate == 0 {
-			overhead := rec.Stats.Attempts*proxy.GetHeaderLen + (rec.Stats.BlocksTotal+rec.Stats.Attempts)*proxy.BlockHeaderLen
+			overhead := rec.Stats.Attempts*proxy.GetHeaderLen + (rec.Stats.BlocksTotal+rec.Stats.Attempts)*wire.HeaderLen
 			clientPayload += int64(rec.Stats.WireBytes - overhead)
 		}
 	}

@@ -13,39 +13,44 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
 // TestReadBlockPooledAllocs: once the pool is warm, reading a verified
-// 128 KiB block must not allocate a fresh payload. The budget of 2 covers
-// the slice-header box sync.Pool needs on Put; the payload buffer itself
-// (the 128 KiB that used to be a per-block make) must come from the pool.
+// 128 KiB block the way the client's receive loop does (wire.ReadHeader,
+// then wire.ReadPayload into a codec.GetBuf slice) must not allocate a
+// fresh payload. The budget of 2 covers the header array and the
+// slice-header box sync.Pool needs on Put; the payload buffer itself (the
+// 128 KiB that used to be a per-block make) must come from the pool.
 func TestReadBlockPooledAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xA5}, 128*1024)
 	var frame bytes.Buffer
-	if err := writeBlock(&frame, wireBlock{Flag: blockFlagRaw, RawLen: uint32(len(payload)), Payload: payload}); err != nil {
+	if err := wire.WriteBlock(&frame, false, uint32(len(payload)), payload); err != nil {
 		t.Fatal(err)
 	}
-	wire := frame.Bytes()
+	framed := frame.Bytes()
+	r := bytes.NewReader(framed)
+	readBlock := func() {
+		h, err := wire.ReadHeader(r)
+		if err != nil || h.End() {
+			t.Fatalf("ReadHeader = %+v, %v", h, err)
+		}
+		p, err := wire.ReadPayload(r, h, codec.GetBuf(int(h.PayLen)))
+		if err != nil {
+			t.Fatalf("ReadPayload: %v", err)
+		}
+		codec.PutBuf(p)
+	}
 
 	// Warm the pool's size class.
-	r := bytes.NewReader(wire)
-	b, _, ok, err := readBlock(r)
-	if err != nil || !ok {
-		t.Fatalf("warmup readBlock: ok=%v err=%v", ok, err)
-	}
-	codec.PutBuf(b.Payload)
-
+	readBlock()
 	allocs := testing.AllocsPerRun(200, func() {
-		r.Reset(wire)
-		b, _, ok, err := readBlock(r)
-		if err != nil || !ok {
-			t.Fatalf("readBlock: ok=%v err=%v", ok, err)
-		}
-		codec.PutBuf(b.Payload)
+		r.Reset(framed)
+		readBlock()
 	})
 	if allocs > 2 {
-		t.Errorf("readBlock allocates %.1f objects per block, want <= 2 (payload not pooled?)", allocs)
+		t.Errorf("block read allocates %.1f objects per block, want <= 2 (payload not pooled?)", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/obs/export"
 	"repro/internal/selective"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Client defaults.
@@ -468,31 +470,27 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	}
 }
 
+// fetchBreakdown is the modeled energy of a finished fetch under
+// EnergyParams (energy.Params.FetchBreakdown's Eq. 1 / Eq. 3 rule).
+func (c *Client) fetchBreakdown(stats FetchStats) energy.Breakdown {
+	p := energy.Params11Mbps()
+	if c.EnergyParams != nil {
+		p = *c.EnergyParams
+	}
+	return p.FetchBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed > 0)
+}
+
 // chargeSpan attributes the finished transfer's modeled energy to the
-// span's phases: Eq. 3's interleaved model when compressed blocks crossed
-// the wire, Eq. 1's plain download otherwise (the same rule hhfetch's
-// energy report applies). Radio joules spread over the dial/header/recv
-// phases byte-weighted, CPU joules over decompress/verify
-// duration-weighted, and the idle residual lands in one accounting entry,
+// span's phases. Radio joules spread over the dial/header/recv phases
+// byte-weighted, CPU joules over decompress/verify duration-weighted,
+// and the idle residual lands in one accounting entry,
 // so the span's TotalJoules equals the model's whole-transfer answer
 // exactly (see energy.Breakdown).
 func (c *Client) chargeSpan(span *obs.Span, stats FetchStats) {
 	if span == nil {
 		return
 	}
-	p := c.EnergyParams
-	if p == nil {
-		def := energy.Params11Mbps()
-		p = &def
-	}
-	s := float64(stats.RawBytes) / 1e6
-	sc := float64(stats.WireBytes) / 1e6
-	var bd energy.Breakdown
-	if stats.BlocksCompressed > 0 {
-		bd = p.InterleavedBreakdown(s, sc)
-	} else {
-		bd = p.DownloadBreakdown(s)
-	}
+	bd := c.fetchBreakdown(stats)
 	span.DistributeJoules(obs.ClassRadio, bd.RadioJ)
 	span.DistributeJoules(obs.ClassCPU, bd.CPUJ)
 	span.AccountPhase("idle", obs.ClassIdle, bd.IdleJ)
@@ -502,7 +500,7 @@ func (c *Client) chargeSpan(span *obs.Span, stats FetchStats) {
 // outcome) to the configured sink. The nil-sink guard comes first so the
 // default path costs one branch and zero allocations; everything the
 // event needs is only materialised past it. Joules are recomputed from
-// the byte counts with the same Eq. 1 / Eq. 3 rule chargeSpan applies,
+// the byte counts with the same fetchBreakdown chargeSpan applies,
 // so the event's per-class totals equal the model's answer exactly even
 // when no tracer (and thus no charged span) is configured.
 func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, mode Mode, span *obs.Span, stats FetchStats, dur time.Duration, err error) {
@@ -531,19 +529,7 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 	if err != nil {
 		e.Outcome = ErrorClass(err)
 	} else {
-		p := c.EnergyParams
-		if p == nil {
-			def := energy.Params11Mbps()
-			p = &def
-		}
-		s := float64(stats.RawBytes) / 1e6
-		sc := float64(stats.WireBytes) / 1e6
-		var bd energy.Breakdown
-		if stats.BlocksCompressed > 0 {
-			bd = p.InterleavedBreakdown(s, sc)
-		} else {
-			bd = p.DownloadBreakdown(s)
-		}
+		bd := c.fetchBreakdown(stats)
 		e.RadioJ, e.CPUJ, e.IdleJ = bd.RadioJ, bd.CPUJ, bd.IdleJ
 	}
 	c.Events.Record(e)
@@ -590,8 +576,8 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// Frame bytes are accounted where they are actually read: an attempt
 	// that died at dial or mid-header contributes nothing, so WireBytes
 	// stays honest across retries.
-	stats.WireBytes += getHeaderLen
-	span.PhaseDetail("header", obs.ClassRadio, attemptDetail, hdrStart, clk.Now().Sub(hdrStart), getHeaderLen)
+	stats.WireBytes += GetHeaderLen
+	span.PhaseDetail("header", obs.ClassRadio, attemptDetail, hdrStart, clk.Now().Sub(hdrStart), GetHeaderLen)
 	// The header survived its CRC, so its status and fields are the
 	// server's honest answer: size/scheme violations are permanent, not
 	// link damage.
@@ -605,7 +591,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 		return out, false, permanent(fmt.Errorf("%w: status %d", ErrProtocol, hdr.Status))
 	}
 	maxFetch := c.maxFetch()
-	if hdr.RawSize > uint64(maxFetch) || !selective.FitsInt(hdr.RawSize) {
+	if hdr.RawSize > uint64(maxFetch) || !wire.FitsInt(hdr.RawSize) {
 		return out, false, permanent(fmt.Errorf("%w: claimed size %d exceeds fetch limit %d", ErrProtocol, hdr.RawSize, maxFetch))
 	}
 	if hdr.Offset > uint64(len(verified)) {
@@ -641,13 +627,13 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// owns out; the receive loop does not touch it. Blocks are decoded
 	// strictly in order, so the goroutine decodes each compressed payload
 	// straight onto the end of out and appends each raw payload there —
-	// no intermediate buffer. Payloads come from the codec buffer pool
-	// (readBlock draws them) and are recycled as soon as they are consumed,
-	// so a steady-state fetch uses O(1) pooled buffers regardless of block
-	// count. After the first failed block the goroutine appends nothing
-	// more: out is then exactly the blocks verified before the failure,
-	// which is the resume prefix.
-	blocksCh := make(chan wireBlock, 1)
+	// no intermediate buffer. Payloads are read into codec buffer pool
+	// slices and recycled as soon as they are consumed, so a steady-state
+	// fetch uses O(1) pooled buffers regardless of block count. After the
+	// first failed block the goroutine appends nothing more: out is then
+	// exactly the blocks verified before the failure, which is the resume
+	// prefix.
+	blocksCh := make(chan selective.Block, 1)
 	done := make(chan struct{})
 	var decFailed atomic.Bool
 	var decErr error
@@ -664,7 +650,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 			start := time.Now()
 			n := len(out)
 			out, decErr = appendBlock(dec, out, b, hdr.RawSize)
-			if b.Flag == blockFlagCompressed {
+			if b.Compressed {
 				decompBytes += int64(len(out) - n)
 			}
 			decompWall += time.Since(start)
@@ -685,30 +671,36 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// The receive loop stops early once a block has failed to decode: the
 	// rest of the stream cannot extend the verified prefix.
 	for !decFailed.Load() {
-		b, crc, ok, err := readBlock(br)
+		h, err := wire.ReadHeader(br)
 		if err != nil {
-			recvErr = err
+			recvErr = fmt.Errorf("%w: %w", ErrProtocol, err)
 			break
 		}
-		if !ok {
-			wantCRC = crc
-			stats.WireBytes += blockHeaderLen // end frame
-			recvBytes += blockHeaderLen
+		if h.End() {
+			wantCRC = h.Value
+			stats.WireBytes += wire.HeaderLen // end frame
+			recvBytes += wire.HeaderLen
 			break
 		}
-		rawPromised += uint64(b.RawLen)
+		payload, err := wire.ReadPayload(br, h, codec.GetBuf(int(h.PayLen)))
+		if err != nil {
+			codec.PutBuf(payload)
+			recvErr = fmt.Errorf("%w: %w", ErrProtocol, err)
+			break
+		}
+		rawPromised += uint64(h.RawLen)
 		if rawPromised > hdr.RawSize {
-			codec.PutBuf(b.Payload)
+			codec.PutBuf(payload)
 			recvErr = fmt.Errorf("%w: blocks claim %d raw bytes, header says %d", ErrProtocol, rawPromised, hdr.RawSize)
 			break
 		}
 		stats.BlocksTotal++
-		stats.WireBytes += blockHeaderLen + len(b.Payload)
-		recvBytes += blockHeaderLen + len(b.Payload)
-		if b.Flag == blockFlagCompressed {
+		stats.WireBytes += wire.HeaderLen + len(payload)
+		recvBytes += wire.HeaderLen + len(payload)
+		if h.Compressed() {
 			stats.BlocksCompressed++
 		}
-		blocksCh <- b
+		blocksCh <- selective.Block{Compressed: h.Compressed(), RawLen: int(h.RawLen), Payload: payload}
 	}
 	close(blocksCh)
 	<-done
@@ -739,7 +731,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// Stamp the phase where hashing starts, so its interval covers the
 	// hash itself and ends before the span does.
 	verifyAt, verifyStart := clk.Now(), time.Now()
-	contentCRC := crcOf(out)
+	contentCRC := crc32.ChecksumIEEE(out)
 	span.PhaseDetail("verify", obs.ClassCPU, attemptDetail, verifyAt, time.Since(verifyStart), 0)
 	if contentCRC != wantCRC {
 		// Every block passed its frame CRC, so a whole-content mismatch
@@ -754,12 +746,12 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 // decoded straight into out's spare capacity — and recycles the payload.
 // On error out comes back with its length unchanged. limit is the header's
 // total raw size, which out may never exceed.
-func appendBlock(dec codec.Codec, out []byte, b wireBlock, limit uint64) ([]byte, error) {
+func appendBlock(dec codec.Codec, out []byte, b selective.Block, limit uint64) ([]byte, error) {
 	defer codec.PutBuf(b.Payload)
-	n := int(b.RawLen)
+	n := b.RawLen
 	out = growOut(out, n, limit)
 	var ext []byte
-	if b.Flag == blockFlagCompressed {
+	if b.Compressed {
 		var err error
 		if ext, err = codec.DecompressInto(dec, out, b.Payload, n); err != nil {
 			return out, err
@@ -770,10 +762,10 @@ func appendBlock(dec codec.Codec, out []byte, b wireBlock, limit uint64) ([]byte
 	} else {
 		ext = append(out, b.Payload...)
 	}
-	// readBlock guarantees a raw block's payload matches its RawLen, the
-	// check above does the same for compressed blocks, and the receive
-	// loop's rawPromised budget bounds their sum; re-check here so the
-	// memory guarantee does not depend on code elsewhere.
+	// wire.ReadHeader guarantees a raw block's payload matches its
+	// RawLen, the check above does the same for compressed blocks, and
+	// the receive loop's rawPromised budget bounds their sum; re-check
+	// here so the memory guarantee does not depend on code elsewhere.
 	if uint64(len(ext)) > limit {
 		return out, fmt.Errorf("%w: %d raw bytes received, header says %d", ErrProtocol, len(ext), limit)
 	}

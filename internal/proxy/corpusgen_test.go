@@ -40,18 +40,4 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	write("FuzzReadRequest", "seed-bad-magic", append([]byte("QXY3"), get.Bytes()[4:]...))
 	write("FuzzReadRequest", "seed-overlong-name", []byte("PXY3\x02\xff\xfe"))
 	write("FuzzReadRequest", "seed-bad-crc", append(get.Bytes()[:get.Len()-1], get.Bytes()[get.Len()-1]^0xFF))
-
-	var raw, end bytes.Buffer
-	if err := writeBlock(&raw, wireBlock{Flag: blockFlagRaw, RawLen: 4, Payload: []byte("data")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeEnd(&end, 0x12345678); err != nil {
-		t.Fatal(err)
-	}
-	write("FuzzReadBlockFrame", "seed-raw-block", raw.Bytes())
-	write("FuzzReadBlockFrame", "seed-end-frame", end.Bytes())
-	write("FuzzReadBlockFrame", "seed-oversized-payload",
-		[]byte("\x01\x00\x00\x00\x08\x7f\xff\xff\xff\x00\x00\x00\x00"))
-	write("FuzzReadBlockFrame", "seed-bad-payload-crc",
-		append(raw.Bytes()[:raw.Len()-1], raw.Bytes()[raw.Len()-1]^0xFF))
 }

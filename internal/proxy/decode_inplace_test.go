@@ -3,12 +3,14 @@ package proxy
 import (
 	"bufio"
 	"bytes"
+	"hash/crc32"
 	"net"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -50,11 +52,11 @@ func corruptBodyServer(t *testing.T, content []byte, scheme codec.Scheme, blockS
 				p = p[:len(p)/2]
 			}
 			rawLen := min(blockSize, len(content)-i*blockSize)
-			if err := writeBlock(bw, wireBlock{Flag: blockFlagCompressed, RawLen: uint32(rawLen), Payload: p}); err != nil {
+			if err := wire.WriteBlock(bw, true, uint32(rawLen), p); err != nil {
 				return
 			}
 		}
-		_ = writeEnd(bw, crcOf(content))
+		_ = wire.WriteEnd(bw, crc32.ChecksumIEEE(content))
 		_ = bw.Flush()
 	})
 }

@@ -47,6 +47,10 @@ func TestEventExportEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server finishes its serve span after flushing the end frame, so
+	// without this wait the tiny "absent" serve can finish first and the
+	// serve events below would list in the other order.
+	quiesce(t, srv)
 	if _, _, err := cli.Fetch("absent", codec.Gzip, ModeRaw); err == nil {
 		t.Fatal("fetch of absent file succeeded")
 	}

@@ -54,60 +54,3 @@ func FuzzReadRequest(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBlockFrame does the same for the block framing: oversized
-// payload or raw lengths must be refused before allocation, unknown flags
-// and payload-CRC mismatches must error, and accepted frames must
-// round-trip.
-func FuzzReadBlockFrame(f *testing.F) {
-	// Raw block, compressed block, end frame, built by the writers so the
-	// payload CRCs are valid.
-	var raw, comp, end bytes.Buffer
-	_ = writeBlock(&raw, wireBlock{Flag: blockFlagRaw, RawLen: 5, Payload: []byte("hello")})
-	_ = writeBlock(&comp, wireBlock{Flag: blockFlagCompressed, RawLen: 256, Payload: []byte("zzzz")})
-	_ = writeEnd(&end, 0xDEADBEEF)
-	f.Add(raw.Bytes())
-	f.Add(comp.Bytes())
-	f.Add(end.Bytes())
-	// Oversized payload length, oversized raw length, bad flag, corrupted
-	// payload (CRC mismatch), truncated header and payload.
-	f.Add([]byte("\x01\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00"))
-	f.Add([]byte("\x01\xff\xff\xff\xff\x00\x00\x00\x04\x00\x00\x00\x00zzzz"))
-	f.Add([]byte("\x07\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(append(raw.Bytes()[:raw.Len()-1], 'X'))
-	f.Add([]byte("\x00\x00\x00"))
-	f.Add(raw.Bytes()[:raw.Len()-2])
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, crc, ok, err := readBlock(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if !ok {
-			// End frame: re-encode and confirm the CRC survives.
-			var buf bytes.Buffer
-			if err := writeEnd(&buf, crc); err != nil {
-				t.Fatal(err)
-			}
-			_, crc2, ok2, err := readBlock(&buf)
-			if err != nil || ok2 || crc2 != crc {
-				t.Fatalf("end frame round trip: crc %d->%d ok=%v err=%v", crc, crc2, ok2, err)
-			}
-			return
-		}
-		if len(b.Payload) > maxBlockWire {
-			t.Fatalf("accepted payload of %d bytes, cap is %d", len(b.Payload), maxBlockWire)
-		}
-		var buf bytes.Buffer
-		if err := writeBlock(&buf, b); err != nil {
-			t.Fatal(err)
-		}
-		back, _, ok2, err := readBlock(&buf)
-		if err != nil || !ok2 {
-			t.Fatalf("re-decode of accepted block failed: ok=%v err=%v", ok2, err)
-		}
-		if back.Flag != b.Flag || back.RawLen != b.RawLen || !bytes.Equal(back.Payload, b.Payload) {
-			t.Fatal("round trip changed block")
-		}
-	})
-}

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/wire"
 )
 
 // maliciousServer runs handler on every accepted connection; handler plays
@@ -113,7 +115,7 @@ func TestMaliciousLyingBlockRawLen(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 1 << 20, Scheme: codec.Gzip})
-		_ = writeBlock(conn, wireBlock{Flag: blockFlagCompressed, RawLen: 0xFFFF0000, Payload: payload})
+		_ = wire.WriteBlock(conn, true, 0xFFFF0000, payload)
 	})
 	err, allocated := fetchAllocDelta(t, hardenedClient(addr))
 	if !errors.Is(err, ErrProtocol) {
@@ -134,7 +136,7 @@ func TestMaliciousOverpromisedBlocks(t *testing.T) {
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 1000, Scheme: codec.Gzip})
 		chunk := make([]byte, 900)
 		for i := 0; i < 4; i++ {
-			if err := writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: 900, Payload: chunk}); err != nil {
+			if err := wire.WriteBlock(conn, false, 900, chunk); err != nil {
 				return
 			}
 		}
@@ -150,7 +152,7 @@ func TestMaliciousOverpromisedBlocks(t *testing.T) {
 // rawPromised budget by zero while appending megabytes per block — an
 // unbounded-memory bypass of MaxFetchBytes.
 func TestMaliciousRawBlockLenMismatch(t *testing.T) {
-	big := make([]byte, maxBlockWire-1)
+	big := make([]byte, wire.MaxPayload-1)
 	addr := maliciousServer(t, func(conn net.Conn) {
 		if !consumeRequest(conn) {
 			return
@@ -158,7 +160,7 @@ func TestMaliciousRawBlockLenMismatch(t *testing.T) {
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 1 << 20, Scheme: codec.Gzip})
 		// Each frame claims zero raw bytes but carries ~2 MiB.
 		for i := 0; i < 64; i++ {
-			if err := writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: 0, Payload: big}); err != nil {
+			if err := wire.WriteBlock(conn, false, 0, big); err != nil {
 				return
 			}
 		}
@@ -181,11 +183,11 @@ func TestMaliciousGarbageBlockCRC(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: uint64(len(payload)), Scheme: codec.Gzip})
-		var hdr [blockHeaderLen]byte
-		hdr[0] = blockFlagRaw
+		var hdr [wire.HeaderLen]byte
+		hdr[0] = wire.FlagRaw
 		binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 		binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[9:13], crcOf(payload)^0xFFFF)
+		binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload)^0xFFFF)
 		_, _ = conn.Write(hdr[:])
 		_, _ = conn.Write(payload)
 	})
@@ -216,8 +218,8 @@ func TestMaliciousTruncatedPayload(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 500, Scheme: codec.Gzip})
-		var hdr [blockHeaderLen]byte
-		hdr[0] = blockFlagRaw
+		var hdr [wire.HeaderLen]byte
+		hdr[0] = wire.FlagRaw
 		binary.BigEndian.PutUint32(hdr[1:5], 500)
 		binary.BigEndian.PutUint32(hdr[5:9], 500)
 		_, _ = conn.Write(hdr[:])
@@ -235,7 +237,7 @@ func TestMaliciousCorruptHeader(t *testing.T) {
 		if !consumeRequest(conn) {
 			return
 		}
-		var buf [getHeaderLen]byte
+		var buf [GetHeaderLen]byte
 		buf[0] = statusNotFound // honest-looking status...
 		// ...but no valid CRC: all-zero trailer will not match.
 		_, _ = conn.Write(buf[:])

@@ -19,6 +19,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/energy"
 	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -91,7 +92,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	content := workload.Generate(workload.ClassHTML, 400_000, 7)
 	// Cut the first connection mid-way through the second block, forcing
 	// exactly one retry that resumes from the 128 000-byte block boundary.
-	cut := getHeaderLen + blockHeaderLen + 128_000 + blockHeaderLen + 1_000
+	cut := GetHeaderLen + wire.HeaderLen + 128_000 + wire.HeaderLen + 1_000
 	var conns atomic.Int64
 	srvReg := obs.NewRegistry()
 	srvTracer := obs.NewTracer(16)

@@ -72,6 +72,14 @@ func (s *Server) Generation(name string) (uint64, bool) {
 	return e.gen, ok
 }
 
+// FileSize returns the size of name's registered content: the most raw
+// bytes any artifact of name can carry, which bounds what a peer may
+// stream for it.
+func (s *Server) FileSize(name string) (int, bool) {
+	e, ok := s.lookup(name)
+	return len(e.content), ok
+}
+
 // SyncGeneration raises this node's generation for name to at least gen
 // and invalidates cached artifacts below it. Cluster invalidation
 // broadcasts land here; it never lowers a generation (a stale broadcast

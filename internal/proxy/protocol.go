@@ -16,11 +16,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/codec"
-	"repro/internal/selective"
+	"repro/internal/wire"
 )
 
 // Protocol constants. PXY2 hardened the PXY1 framing for a lossy link:
@@ -32,7 +31,8 @@ import (
 // the request frame: the client mints one per fetch (shared by every
 // retry attempt), the server tags its logs and trace spans with it, so
 // one grep or /tracez query follows a request across both sides of the
-// wire.
+// wire. The block frames a GET response carries after its header are
+// internal/wire's, shared with the peer protocol.
 const (
 	protoMagic = "PXY3"
 
@@ -51,19 +51,8 @@ const (
 	// is at its concurrent-connection cap.
 	statusBusy = 0x03
 
-	blockFlagRaw        = 0x00
-	blockFlagCompressed = 0x01
-	blockFlagEnd        = 0xFF
-
 	// maxNameLen bounds file names on the wire.
 	maxNameLen = 4096
-	// maxBlockWire bounds a single block payload (a compressed 0.128 MB
-	// block can only be marginally larger than raw).
-	maxBlockWire = 1 << 21
-	// maxBlockRaw bounds a block's claimed decompressed size, mirroring
-	// maxBlockWire: the claim sizes the decompressor's output buffer, so
-	// it must be capped before any allocation happens.
-	maxBlockRaw = 1 << 21
 
 	// reqFixedLen is magic + op + name length.
 	reqFixedLen = 4 + 1 + 2
@@ -73,20 +62,11 @@ const (
 	// reqTailExLen is the opGetEx tail: the opGet tail plus a deadline
 	// class byte and a millijoule energy budget, before the CRC.
 	reqTailExLen = reqTailLen + 1 + 4
-	// getHeaderLen is status + raw size + scheme + offset + CRC.
-	getHeaderLen = 1 + 8 + 1 + 8 + 4
-	// blockHeaderLen is flag + raw length + payload length + payload CRC.
-	blockHeaderLen = 1 + 4 + 4 + 4
-)
-
-// Exported frame sizes: the soak harness (internal/harness) reconciles
-// the client's WireBytes ledger against the server's payload counters,
-// which requires knowing the per-frame overhead it read.
-const (
-	// GetHeaderLen is the wire size of a GET response header frame.
-	GetHeaderLen = getHeaderLen
-	// BlockHeaderLen is the wire size of a block (or end) frame header.
-	BlockHeaderLen = blockHeaderLen
+	// GetHeaderLen is the wire size of a GET response header frame:
+	// status + raw size + scheme + offset + CRC. The soak harness
+	// reconciles the client's WireBytes ledger against the server's
+	// payload counters with it (block frames add wire.HeaderLen each).
+	GetHeaderLen = 1 + 8 + 1 + 8 + 4
 )
 
 // Mode is the transfer mode requested by the client.
@@ -169,34 +149,26 @@ func writeRequest(w io.Writer, req request) error {
 	buf := make([]byte, 0, reqFixedLen+len(name)+req.tailLen())
 	buf = append(buf, protoMagic...)
 	buf = append(buf, req.Op)
-	var n16 [2]byte
-	binary.BigEndian.PutUint16(n16[:], uint16(len(name)))
-	buf = append(buf, n16[:]...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
 	buf = append(buf, byte(req.Scheme), byte(req.Mode))
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], req.Offset)
-	buf = append(buf, u64[:]...)
-	binary.BigEndian.PutUint64(u64[:], req.ReqID)
-	buf = append(buf, u64[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, req.Offset)
+	buf = binary.BigEndian.AppendUint64(buf, req.ReqID)
 	if req.Op == opGetEx {
 		buf = append(buf, req.Class)
-		var u32 [4]byte
-		binary.BigEndian.PutUint32(u32[:], req.BudgetMJ)
-		buf = append(buf, u32[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, req.BudgetMJ)
 	}
 	// The CRC covers everything after the magic, so a bit-flipped request
 	// is rejected server-side instead of fetching the wrong file.
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crcOf(buf[len(protoMagic):]))
-	buf = append(buf, crc[:]...)
+	buf = append(buf, 0, 0, 0, 0)
+	wire.Seal(buf[len(protoMagic):])
 	_, err := w.Write(buf)
 	return err
 }
 
 func readRequest(r io.Reader) (request, error) {
-	hdr := make([]byte, reqFixedLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [reqFixedLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return request{}, err
 	}
 	if string(hdr[:len(protoMagic)]) != protoMagic {
@@ -207,16 +179,15 @@ func readRequest(r io.Reader) (request, error) {
 	if nameLen > maxNameLen {
 		return request{}, fmt.Errorf("%w: name length %d", ErrProtocol, nameLen)
 	}
-	rest := make([]byte, nameLen+req.tailLen())
-	if _, err := io.ReadFull(r, rest); err != nil {
+	frame := make([]byte, reqFixedLen+nameLen+req.tailLen())
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[reqFixedLen:]); err != nil {
 		return request{}, fmt.Errorf("%w: truncated request: %v", ErrProtocol, err)
 	}
-	body := rest[:len(rest)-4]
-	wantCRC := binary.BigEndian.Uint32(rest[len(rest)-4:])
-	sum := crc32.Update(crc32.ChecksumIEEE(hdr[len(protoMagic):]), crc32.IEEETable, body)
-	if sum != wantCRC {
+	if !wire.Sealed(frame[len(protoMagic):]) {
 		return request{}, fmt.Errorf("%w: request CRC mismatch", ErrProtocol)
 	}
+	body := frame[reqFixedLen:]
 	req.Name = string(body[:nameLen])
 	req.Scheme = codec.Scheme(body[nameLen])
 	req.Mode = Mode(body[nameLen+1])
@@ -241,22 +212,22 @@ type getHeader struct {
 }
 
 func writeGetHeader(w io.Writer, h getHeader) error {
-	var buf [getHeaderLen]byte
+	var buf [GetHeaderLen]byte
 	buf[0] = h.Status
 	binary.BigEndian.PutUint64(buf[1:9], h.RawSize)
 	buf[9] = byte(h.Scheme)
 	binary.BigEndian.PutUint64(buf[10:18], h.Offset)
-	binary.BigEndian.PutUint32(buf[18:22], crcOf(buf[:18]))
+	wire.Seal(buf[:])
 	_, err := w.Write(buf[:])
 	return err
 }
 
 func readGetHeader(r io.Reader) (getHeader, error) {
-	var buf [getHeaderLen]byte
+	var buf [GetHeaderLen]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return getHeader{}, fmt.Errorf("%w: truncated header: %v", ErrProtocol, err)
 	}
-	if crcOf(buf[:18]) != binary.BigEndian.Uint32(buf[18:22]) {
+	if !wire.Sealed(buf[:]) {
 		return getHeader{}, fmt.Errorf("%w: header CRC mismatch", ErrProtocol)
 	}
 	return getHeader{
@@ -266,91 +237,3 @@ func readGetHeader(r io.Reader) (getHeader, error) {
 		Offset:  binary.BigEndian.Uint64(buf[10:18]),
 	}, nil
 }
-
-// wireBlock is one framed block on the wire.
-type wireBlock struct {
-	Flag    byte
-	RawLen  uint32
-	Payload []byte
-}
-
-func writeBlock(w io.Writer, b wireBlock) error {
-	var hdr [blockHeaderLen]byte
-	hdr[0] = b.Flag
-	binary.BigEndian.PutUint32(hdr[1:5], b.RawLen)
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(b.Payload)))
-	binary.BigEndian.PutUint32(hdr[9:13], crcOf(b.Payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(b.Payload) > 0 {
-		if _, err := w.Write(b.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeEnd emits the terminal frame. The content CRC it carries is itself
-// covered by a CRC over the frame header: without that, a bit-flip in the
-// content-CRC field would be indistinguishable from the file having
-// changed between attempts, and the client would wrongly discard its
-// verified resume prefix.
-func writeEnd(w io.Writer, crc uint32) error {
-	var hdr [blockHeaderLen]byte
-	hdr[0] = blockFlagEnd
-	binary.BigEndian.PutUint32(hdr[1:5], crc)
-	binary.BigEndian.PutUint32(hdr[9:13], crcOf(hdr[:9]))
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// readBlock returns the next block, or ok=false with the trailing CRC when
-// the end marker is reached. Both length fields are bounded before any
-// allocation, and the payload must match its frame CRC — a block that
-// readBlock accepts is verified, which is what makes resume offsets safe
-// to trust.
-//
-// The payload buffer is drawn from the codec buffer pool; the caller owns
-// it and should hand it back with codec.PutBuf once the block is consumed.
-func readBlock(r io.Reader) (b wireBlock, crc uint32, ok bool, err error) {
-	var hdr [blockHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: truncated block: %v", ErrProtocol, err)
-	}
-	if hdr[0] == blockFlagEnd {
-		if crcOf(hdr[:9]) != binary.BigEndian.Uint32(hdr[9:13]) {
-			return wireBlock{}, 0, false, fmt.Errorf("%w: end frame CRC mismatch", ErrProtocol)
-		}
-		return wireBlock{}, binary.BigEndian.Uint32(hdr[1:5]), false, nil
-	}
-	if hdr[0] != blockFlagRaw && hdr[0] != blockFlagCompressed {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: flag %#x", ErrProtocol, hdr[0])
-	}
-	b.Flag = hdr[0]
-	b.RawLen = binary.BigEndian.Uint32(hdr[1:5])
-	payLen := binary.BigEndian.Uint32(hdr[5:9])
-	if err := selective.CheckWireLens(b.RawLen, payLen, maxBlockRaw, maxBlockWire); err != nil {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	// A raw block's payload IS its raw bytes, so the two lengths must
-	// agree. Enforcing that here keeps the per-block RawLen claims an
-	// honest budget: downstream, the sum of accepted RawLens bounds the
-	// bytes that can reach the output buffer.
-	if b.Flag == blockFlagRaw && payLen != b.RawLen {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: raw block claims %d raw bytes but carries %d", ErrProtocol, b.RawLen, payLen)
-	}
-	b.Payload = codec.GetBuf(int(payLen))[:payLen]
-	if _, err := io.ReadFull(r, b.Payload); err != nil {
-		codec.PutBuf(b.Payload)
-		return wireBlock{}, 0, false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
-	}
-	if crcOf(b.Payload) != binary.BigEndian.Uint32(hdr[9:13]) {
-		codec.PutBuf(b.Payload)
-		return wireBlock{}, 0, false, fmt.Errorf("%w: block payload CRC mismatch", ErrProtocol)
-	}
-	return b, 0, true, nil
-}
-
-// crcOf is the CRC-32/IEEE every PXY3 frame and end frame carries.
-func crcOf(data []byte) uint32 { return crc32.ChecksumIEEE(data) }

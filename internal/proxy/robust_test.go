@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -141,8 +142,8 @@ func TestClientRejectsOversizedBlockFrame(t *testing.T) {
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 100, Scheme: codec.Gzip})
 		// Block frame with a payload length over the cap.
-		var hdr [blockHeaderLen]byte
-		hdr[0] = blockFlagCompressed
+		var hdr [wire.HeaderLen]byte
+		hdr[0] = wire.FlagCompressed
 		hdr[5] = 0xFF
 		hdr[6] = 0xFF
 		hdr[7] = 0xFF
@@ -176,8 +177,8 @@ func TestClientDetectsWrongCRC(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: uint64(len(content)), Scheme: codec.Gzip})
-		_ = writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: uint32(len(content)), Payload: content})
-		_ = writeEnd(conn, 0xDEADBEEF) // wrong CRC
+		_ = wire.WriteBlock(conn, false, uint32(len(content)), content)
+		_ = wire.WriteEnd(conn, 0xDEADBEEF) // wrong CRC
 	}()
 	cli := NewClient(ln.Addr().String())
 	if _, _, err := cli.Fetch("x", codec.Gzip, ModeRaw); err == nil {

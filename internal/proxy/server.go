@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"log/slog"
 	"net"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/obs/export"
 	"repro/internal/selective"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // ErrClosing is returned to requests caught by a server shutdown.
@@ -275,7 +277,7 @@ type fileEntry struct {
 // name bumps its generation and drops its cached artifacts.
 func (s *Server) Register(name string, content []byte) {
 	e := fileEntry{content: append([]byte{}, content...)}
-	e.crc = crcOf(e.content)
+	e.crc = crc32.ChecksumIEEE(e.content)
 	s.mu.Lock()
 	e.gen = s.files[name].gen + 1
 	s.files[name] = e
@@ -720,18 +722,15 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 	writeStart := time.Now()
 	var wrote int64
 	for _, b := range blocks[start:] {
-		flag := byte(blockFlagRaw)
 		if b.Compressed {
-			flag = blockFlagCompressed
 			s.metrics.bytesCompressed.Add(int64(len(b.Payload)))
 		} else {
 			s.metrics.bytesRaw.Add(int64(len(b.Payload)))
 		}
-		wb := wireBlock{Flag: flag, RawLen: uint32(b.RawLen), Payload: b.Payload}
-		if err := writeBlock(bw, wb); err != nil {
+		if err := wire.WriteBlock(bw, b.Compressed, uint32(b.RawLen), b.Payload); err != nil {
 			return err
 		}
-		wrote += int64(blockHeaderLen + len(b.Payload))
+		wrote += int64(wire.HeaderLen + len(b.Payload))
 		// Flush per block so the client's pipeline can overlap
 		// decompression with the next block's arrival.
 		if err := bw.Flush(); err != nil {
@@ -739,7 +738,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 		}
 	}
 	span.Phase("write-blocks", "", writeStart, time.Since(writeStart), wrote)
-	if err := writeEnd(bw, e.crc); err != nil {
+	if err := wire.WriteEnd(bw, e.crc); err != nil {
 		return err
 	}
 	return bw.Flush()

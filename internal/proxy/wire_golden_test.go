@@ -3,9 +3,11 @@ package proxy
 import (
 	"bytes"
 	"encoding/hex"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/wire"
 )
 
 // TestWireGoldenResponse pins one whole PXY3 GET response — header, one
@@ -26,10 +28,10 @@ func TestWireGoldenResponse(t *testing.T) {
 	if err := writeGetHeader(&buf, getHeader{Status: statusOK, RawSize: uint64(len(content)), Scheme: codec.Gzip}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBlock(&buf, wireBlock{Flag: blockFlagRaw, RawLen: uint32(len(content)), Payload: content}); err != nil {
+	if err := wire.WriteBlock(&buf, false, uint32(len(content)), content); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeEnd(&buf, crcOf(content)); err != nil {
+	if err := wire.WriteEnd(&buf, crc32.ChecksumIEEE(content)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -42,14 +44,16 @@ func TestWireGoldenResponse(t *testing.T) {
 	if err != nil || hdr.Status != statusOK || hdr.RawSize != 9 || hdr.Scheme != codec.Gzip || hdr.Offset != 0 {
 		t.Fatalf("readGetHeader = %+v, %v", hdr, err)
 	}
-	b, _, ok, err := readBlock(r)
-	if err != nil || !ok || b.Flag != blockFlagRaw || b.RawLen != 9 || string(b.Payload) != "123456789" {
-		t.Fatalf("readBlock = %+v, ok=%v, %v", b, ok, err)
+	h, err := wire.ReadHeader(r)
+	if err != nil || h.Flag != wire.FlagRaw || h.RawLen != 9 || h.PayLen != 9 {
+		t.Fatalf("ReadHeader = %+v, %v", h, err)
 	}
-	codec.PutBuf(b.Payload)
-	_, crc, ok, err := readBlock(r)
-	if err != nil || ok || crc != 0xCBF43926 {
-		t.Fatalf("end frame: crc=%#x ok=%v err=%v, want crc 0xcbf43926", crc, ok, err)
+	if p, err := wire.ReadPayload(r, h, make([]byte, h.PayLen)); err != nil || string(p) != "123456789" {
+		t.Fatalf("ReadPayload = %q, %v", p, err)
+	}
+	h, err = wire.ReadHeader(r)
+	if err != nil || !h.End() || h.Value != 0xCBF43926 {
+		t.Fatalf("end frame = %+v, %v; want value 0xcbf43926", h, err)
 	}
 	if r.Len() != 0 {
 		t.Fatalf("%d trailing bytes after the end frame", r.Len())

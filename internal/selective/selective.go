@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/energy"
+	"repro/internal/wire"
 )
 
 // BlockSize is the compression buffer of the paper's modified zlib
@@ -275,36 +276,10 @@ func Decode(stream []byte, maxSize int) ([]byte, error) {
 	return out, nil
 }
 
-// Wire-length validation helpers, shared by this container format and the
-// proxy's PXY2 framing (internal/proxy). Length fields that arrive off the
-// wire are attacker-controlled: they must be bounded BEFORE they size an
-// allocation, a slice, or a decompression, and compared as unsigned values
-// so 32-bit platforms cannot be tricked through an int overflow.
-
-// MaxPlausibleRawLen is the largest raw block length any container or wire
-// frame of this repository may claim: 16 of the paper's 0.128 MB
-// compression buffers, covering every block size the ablation study uses.
+// MaxPlausibleRawLen is the largest raw block length a SEL1 container may
+// claim: 16 of the paper's 0.128 MB compression buffers, covering every
+// block size the ablation study uses.
 const MaxPlausibleRawLen = 16 * BlockSize
-
-// CheckWireLens validates a frame's untrusted 32-bit length fields against
-// explicit caps. rawLen is the claimed decompressed size (it drives the
-// decompressor's output allocation), payLen the claimed payload size (it
-// drives the read/slice). The comparison stays in uint32 so no conversion
-// can wrap on any platform.
-func CheckWireLens(rawLen, payLen, maxRaw, maxPay uint32) error {
-	if rawLen > maxRaw {
-		return fmt.Errorf("claimed raw length %d exceeds cap %d", rawLen, maxRaw)
-	}
-	if payLen > maxPay {
-		return fmt.Errorf("claimed payload length %d exceeds cap %d", payLen, maxPay)
-	}
-	return nil
-}
-
-// FitsInt reports whether an untrusted unsigned 64-bit wire value converts
-// to int without overflow on this platform (true for all values on 64-bit,
-// values below 2^31 on 32-bit).
-func FitsInt(v uint64) bool { return v <= uint64(^uint(0)>>1) }
 
 // Parse splits a container into blocks without decompressing.
 func Parse(stream []byte) ([]Block, codec.Scheme, error) {
@@ -337,7 +312,7 @@ func Parse(stream []byte) ([]Block, codec.Scheme, error) {
 		// Bound both claimed lengths in uint32 space before the payload is
 		// sliced: a 32-bit build must never see these fields as ints while
 		// they can still be ≥ 2^31.
-		if err := CheckWireLens(rawLen, payLen, MaxPlausibleRawLen, 2*MaxPlausibleRawLen); err != nil {
+		if err := wire.CheckLens(rawLen, payLen, MaxPlausibleRawLen, 2*MaxPlausibleRawLen); err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		if uint64(payLen) > uint64(len(stream)-pos) {

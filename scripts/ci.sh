@@ -2,9 +2,10 @@
 # CI gate: vet + lint + build + full test suite under the race detector
 # (which includes the fault-injection stress test and the malicious-server
 # suite), then an explicit race-mode pass over the hostile-wire and
-# telemetry tests, a single-P repeat of the counter-reconciliation stress
-# test, short fuzz passes over the PXY3 wire-format and SEL1 container
-# parsers and the gzip/zlib, LZW and bzip2 decoders, a deterministic
+# telemetry tests, a single-P repeat of the counter-asserting tests, short
+# fuzz passes over the PXY3 request parser, the block frame both proxy
+# protocols share (internal/wire), the PXY-P request parser, the SEL1
+# container parser and the gzip/zlib, LZW and bzip2 decoders, a deterministic
 # virtual-time soak with invariant oracles (fixed seeds plus one printed
 # random seed for replay), the
 # scenario-corpus gate (every declarative spec diffed against its golden
@@ -51,10 +52,11 @@ go test -race -run 'TestFetchCompletesUnderFaults|TestFetchResumes|TestMalicious
 go test -race ./internal/obs
 go test -race -run 'TestObservabilityEndToEnd|TestPermanentErrorClassification' ./internal/proxy
 
-# The quiesce gate: counters must reconcile with client-observed traffic
-# once Server.Quiesce returns, even on one P where the server's
-# per-connection accounting trails the client's last read the longest.
-GOMAXPROCS=1 go test -race -count=20 -run TestServerConcurrentClients ./internal/proxy
+# The quiesce gate: counters and exported events must reconcile with
+# client-observed traffic once Server.Quiesce returns, even on one P where
+# the server's per-connection accounting trails the client's last read the
+# longest. Every counter-asserting test runs here.
+GOMAXPROCS=1 go test -race -count=20 -run 'TestServerConcurrentClients|TestEventExportEndToEnd|TestServerBusySheds|TestObservabilityEndToEnd' ./internal/proxy
 
 # The decider property gate: the dynamic queue-aware decider must never
 # cost more modeled joules than the static Eq. 6 choice, never violate a
@@ -67,7 +69,8 @@ go test -race -run 'TestDynamicNeverWorseThanStatic|TestDynamicNeverViolatesDead
 go test -run='^$' -fuzz=FuzzScenarioSpec -fuzztime=10s ./internal/scenario
 go test -run='^$' -fuzz=FuzzDynamicDecide -fuzztime=10s ./internal/decider
 go test -run='^$' -fuzz=FuzzReadRequest -fuzztime=10s ./internal/proxy
-go test -run='^$' -fuzz=FuzzReadBlockFrame -fuzztime=10s ./internal/proxy
+go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
+go test -run='^$' -fuzz=FuzzReadPeerRequest -fuzztime=10s ./internal/cluster
 go test -run='^$' -fuzz=FuzzGzipDifferential -fuzztime=10s ./internal/flate
 go test -run='^$' -fuzz=FuzzDeflateDifferential -fuzztime=10s ./internal/flate
 go test -run='^$' -fuzz=FuzzLZWDecompress -fuzztime=10s ./internal/lzw
@@ -166,6 +169,7 @@ check_cover() {
 }
 check_cover ./internal/proxy 88
 check_cover ./internal/cluster 80
+check_cover ./internal/wire 97
 check_cover ./internal/simnet 80
 check_cover ./internal/selective 89
 check_cover ./internal/harness 80
